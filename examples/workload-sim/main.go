@@ -7,8 +7,7 @@
 // With -live, the same kind of job mix runs for real instead: the example
 // starts an in-process reshaped daemon, submits a scaled-down mix over the
 // rpc/v2 wire protocol (reshape client), and renders the allocation
-// history live from the streaming Watch subscription — the v2 replacement
-// for polling status or parking a connection per blocking wait.
+// history live from the streaming Watch subscription.
 //
 //	go run ./examples/workload-sim -live
 package main

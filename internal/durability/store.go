@@ -49,6 +49,11 @@ type Store struct {
 	// lastSnap is the covered-record index of the newest durable snapshot.
 	lastSnap uint64
 	closed   bool
+	// syncErr is the first failed background fsync. After it the page
+	// cache may have dropped acknowledged records, and a retried fsync can
+	// report success without writing them, so the store fails stop: every
+	// later Append, Snapshot and Sync returns this error.
+	syncErr  error
 	stop     chan struct{}
 	loopDone chan struct{}
 }
@@ -212,6 +217,9 @@ func (s *Store) Append(op scheduler.Op) error {
 	if s.closed {
 		return fmt.Errorf("durability: store closed")
 	}
+	if s.syncErr != nil {
+		return s.syncErr
+	}
 	if s.opts.SnapshotEvery > 0 && s.opts.Capture != nil &&
 		s.w.index-s.lastSnap >= s.opts.SnapshotEvery {
 		if err := s.snapshotLocked(op.Now); err != nil {
@@ -232,6 +240,9 @@ func (s *Store) Snapshot(clock float64) error {
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("durability: store closed")
+	}
+	if s.syncErr != nil {
+		return s.syncErr
 	}
 	if s.opts.Capture == nil {
 		return fmt.Errorf("durability: no Capture configured")
@@ -292,6 +303,9 @@ func (s *Store) Sync() error {
 	if s.closed {
 		return nil
 	}
+	if s.syncErr != nil {
+		return s.syncErr
+	}
 	return s.w.sync()
 }
 
@@ -319,7 +333,8 @@ func (s *Store) Close() error {
 	return err
 }
 
-// syncLoop batches fsyncs under SyncInterval.
+// syncLoop batches fsyncs under SyncInterval. The first failure poisons
+// the store (see syncErr); the loop stops syncing after it.
 func (s *Store) syncLoop() {
 	defer close(s.loopDone)
 	t := time.NewTicker(s.opts.SyncInterval)
@@ -330,9 +345,10 @@ func (s *Store) syncLoop() {
 			return
 		case <-t.C:
 			s.mu.Lock()
-			if !s.closed {
+			if !s.closed && s.syncErr == nil {
 				if err := s.w.sync(); err != nil {
-					s.opts.Logf("durability: background sync: %v", err)
+					s.syncErr = fmt.Errorf("durability: background sync failed, refusing further appends: %w", err)
+					s.opts.Logf("%v", s.syncErr)
 				}
 			}
 			s.mu.Unlock()

@@ -22,7 +22,8 @@ const (
 	SyncAlways SyncPolicy = iota
 	// SyncInterval batches fsyncs on a timer (Store's SyncInterval): a
 	// crash can lose the last interval's acknowledged operations, but
-	// appends run at memory speed.
+	// appends run at memory speed. A failed timer fsync stops the store:
+	// every later append is refused.
 	SyncInterval
 	// SyncNone never fsyncs explicitly; the OS flushes when it pleases.
 	// Survives process crashes (the page cache persists) but not machine

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/grid"
 	"repro/internal/scheduler"
@@ -278,5 +279,66 @@ func TestSnapshotFallback(t *testing.T) {
 	requireSameState(t, core, recovered)
 	if len(logged) == 0 || !strings.Contains(logged[0], "skipping snapshot") {
 		t.Fatalf("corrupt snapshot skip was not logged: %v", logged)
+	}
+}
+
+// TestBackgroundSyncFailureStopsStore pins fail-stop under SyncInterval:
+// once a timer fsync fails, the records it covered may never reach disk,
+// so every later Append, Snapshot and Sync must return that error — even
+// after the segment would accept writes again.
+func TestBackgroundSyncFailureStopsStore(t *testing.T) {
+	st, _, err := Open(t.TempDir(), Options{Sync: SyncInterval, SyncInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ops := sampleOps()
+	if err := st.Append(ops[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	// Swap in a closed handle so the next tick's fsync fails, then put the
+	// working segment back once the failure is recorded.
+	st.mu.Lock()
+	good := st.w.f
+	bad, err := os.Open(good.Name())
+	if err != nil {
+		st.mu.Unlock()
+		t.Fatal(err)
+	}
+	if err := bad.Close(); err != nil {
+		st.mu.Unlock()
+		t.Fatal(err)
+	}
+	st.w.f = bad
+	st.mu.Unlock()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st.mu.Lock()
+		failed := st.syncErr != nil
+		if failed {
+			st.w.f = good
+		}
+		st.mu.Unlock()
+		if failed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("background sync of a closed segment never failed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if err := st.Append(ops[1]); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Append after failed background sync = %v, want the sync error", err)
+	}
+	if err := st.Snapshot(0); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Snapshot after failed background sync = %v, want the sync error", err)
+	}
+	if err := st.Sync(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Sync after failed background sync = %v, want the sync error", err)
+	}
+	if got := st.Index(); got != 1 {
+		t.Fatalf("index = %d after refused appends, want 1", got)
 	}
 }

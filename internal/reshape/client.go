@@ -25,7 +25,7 @@ type Client struct {
 	logf        func(format string, args ...any)
 
 	mu     sync.Mutex
-	conns  []*conn // fixed-size slot array; nil/dead slots redial lazily
+	slots  []poolSlot // fixed size; empty/dead slots redial lazily
 	rr     int
 	closed bool
 
@@ -35,6 +35,24 @@ type Client struct {
 }
 
 var _ resize.Scheduler = (*Client)(nil)
+
+// poolSlot is one position in the connection pool: its connection (nil
+// before the first dial) and the dial in flight to fill it, if any.
+type poolSlot struct {
+	cn   *conn
+	dial *slotDial
+}
+
+// slotDial is one dial in flight on a pool slot. Callers that find the
+// slot empty while it runs wait for its outcome instead of dialing again,
+// so each empty slot costs exactly one dial.
+type slotDial struct {
+	done chan struct{} // closed once cn/err are set
+	cn   *conn
+	err  error
+}
+
+var errClientClosed = errors.New("reshape: client closed")
 
 // Option configures Dial.
 type Option func(*Client)
@@ -79,7 +97,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	for _, o := range opts {
 		o(c)
 	}
-	c.conns = make([]*conn, c.poolSize)
+	c.slots = make([]poolSlot, c.poolSize)
 	if _, err := c.getConn(); err != nil {
 		return nil, err
 	}
@@ -91,12 +109,15 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true
-	conns := append([]*conn(nil), c.conns...)
+	conns := make([]*conn, 0, len(c.slots))
+	for _, sl := range c.slots {
+		if sl.cn != nil {
+			conns = append(conns, sl.cn)
+		}
+	}
 	c.mu.Unlock()
 	for _, cn := range conns {
-		if cn != nil {
-			cn.fail(fmt.Errorf("reshape: client closed"))
-		}
+		cn.fail(errClientClosed)
 	}
 	return nil
 }
@@ -109,22 +130,51 @@ func (c *Client) Dials() int {
 	return c.dials
 }
 
-// getConn returns a live pooled connection (round-robin), redialing dead
-// slots.
+// getConn returns a live pooled connection (round-robin). An empty or
+// dead slot is redialed by the first caller to reach it; concurrent
+// callers on that slot share the outcome of that one dial.
 func (c *Client) getConn() (*conn, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, fmt.Errorf("reshape: client closed")
+		return nil, errClientClosed
 	}
-	slot := c.rr % len(c.conns)
+	sl := &c.slots[c.rr%len(c.slots)]
 	c.rr++
-	if cn := c.conns[slot]; cn != nil && !cn.isDead() {
+	if cn := sl.cn; cn != nil && !cn.isDead() {
 		c.mu.Unlock()
 		return cn, nil
 	}
+	if d := sl.dial; d != nil {
+		c.mu.Unlock()
+		<-d.done
+		return d.cn, d.err
+	}
+	d := &slotDial{done: make(chan struct{})}
+	sl.dial = d
 	c.mu.Unlock()
 
+	cn, err := c.dial()
+
+	c.mu.Lock()
+	sl.dial = nil
+	closed := c.closed
+	if err == nil && !closed {
+		c.dials++
+		sl.cn = cn
+	}
+	c.mu.Unlock()
+	if err == nil && closed {
+		cn.fail(errClientClosed)
+		cn, err = nil, errClientClosed
+	}
+	d.cn, d.err = cn, err
+	close(d.done)
+	return cn, err
+}
+
+// dial opens one v2 connection and starts its read loop.
+func (c *Client) dial() (*conn, error) {
 	nc, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("reshape: dial %s: %w", c.addr, err)
@@ -141,20 +191,6 @@ func (c *Client) getConn() (*conn, error) {
 		pending: make(map[uint64]*pendingReq),
 	}
 	go cn.readLoop()
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		cn.failAsync(fmt.Errorf("reshape: client closed"))
-		return nil, fmt.Errorf("reshape: client closed")
-	}
-	c.dials++
-	if old := c.conns[slot]; old != nil && !old.isDead() {
-		// A concurrent caller repaired the slot first; keep theirs.
-		cn.failAsync(fmt.Errorf("reshape: duplicate connection"))
-		return old, nil
-	}
-	c.conns[slot] = cn
 	return cn, nil
 }
 
@@ -223,9 +259,6 @@ func (cn *conn) fail(err error) {
 	_ = cn.nc.Close()
 	close(cn.deadCh)
 }
-
-// failAsync is fail for callers holding the client mutex.
-func (cn *conn) failAsync(err error) { go cn.fail(err) }
 
 func (cn *conn) readLoop() {
 	fr := rpc.NewFrameReader(cn.nc)
@@ -441,9 +474,9 @@ func (c *Client) Status(ctx context.Context) (scheduler.ClusterStatus, error) {
 	return *r.Status, nil
 }
 
-// Wait blocks until the job completes or ctx is done. Unlike v1, the wait
-// shares the multiplexed connection instead of pinning its own; transport
-// failures are retried (waiting is idempotent) until ctx expires.
+// Wait blocks until the job completes or ctx is done. The wait shares the
+// multiplexed connection instead of pinning its own; transport failures
+// are retried (waiting is idempotent) until ctx expires.
 func (c *Client) Wait(ctx context.Context, jobID int) error {
 	for {
 		_, err := c.call(ctx, rpc.Frame{Op: rpc.OpWait, JobID: jobID}, true)

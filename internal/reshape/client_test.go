@@ -336,3 +336,43 @@ func TestCallContextCancellation(t *testing.T) {
 		t.Fatalf("dials = %d; cancellation must not burn the connection", cl.Dials())
 	}
 }
+
+// TestConcurrentFirstCallsDialEachSlotOnce: many callers racing to first
+// use a pool's empty slots share one dial per slot, so the client and the
+// server both count exactly one connection per slot.
+func TestConcurrentFirstCallsDialEachSlotOnce(t *testing.T) {
+	const pool = 4
+	_, srv := startDaemon(t, 4)
+	cl, err := reshape.Dial(srv.Addr(), reshape.WithPoolSize(pool))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	errs := make(chan error, 64)
+	for i := 0; i < cap(errs); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, err := cl.Status(context.Background())
+			errs <- err
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cl.Dials(); got != pool {
+		t.Errorf("Dials() = %d, want %d (one per pool slot)", got, pool)
+	}
+	if got := srv.Stats().V2Conns; got != pool {
+		t.Errorf("server V2Conns = %d, want %d", got, pool)
+	}
+}

@@ -17,15 +17,13 @@ import (
 //
 // Two independent layers apply, both token buckets with inflight caps:
 //
-//   - per tenant (all protocols): requests are attributed to the tenant
-//     named by the request envelope (falling back to the job spec's Tenant
-//     on submits), so one tenant exhausting its quota cannot consume
-//     another tenant's scheduler throughput;
-//   - per connection (v2 only): a multiplexed connection that floods
-//     frames is clipped regardless of which tenants it claims, bounding
-//     the damage of a misattributing or malicious client. v1 connections
-//     carry exactly one request, so connection quotas are meaningless
-//     there.
+//   - per tenant: requests are attributed to the tenant named by the
+//     request frame (falling back to the job spec's Tenant on submits), so
+//     one tenant exhausting its quota cannot consume another tenant's
+//     scheduler throughput;
+//   - per connection: a multiplexed connection that floods frames is
+//     clipped regardless of which tenants it claims, bounding the damage
+//     of a misattributing or malicious client.
 //
 // Blocking requests (Wait, Watch) hold an inflight slot for as long as
 // they run: an inflight cap therefore bounds a tenant's parked waits and
@@ -34,8 +32,7 @@ import (
 // an overloaded client is trying to abandon.
 
 // ErrOverload is the typed shed error. Server replies carry CodeOverload
-// on the wire; the v1 client returns this exact error and the reshape
-// client's ServerError matches it via errors.Is.
+// on the wire; the reshape client's ServerError matches it via errors.Is.
 var ErrOverload = errors.New("rpc: overloaded: request shed by admission control")
 
 // Limits configures admission control for a Server. The zero value
@@ -47,14 +44,13 @@ type Limits struct {
 	// TenantBurst defaults to max(1, TenantRate).
 	TenantRate  float64
 	TenantBurst int
-	// ConnRate / ConnBurst shape each v2 connection the same way.
+	// ConnRate / ConnBurst shape each connection the same way.
 	ConnRate  float64
 	ConnBurst int
 	// TenantInflight caps one tenant's concurrently executing requests
 	// (including parked Waits and open Watch streams).
 	TenantInflight int
-	// ConnInflight caps one v2 connection's concurrently executing
-	// requests.
+	// ConnInflight caps one connection's concurrently executing requests.
 	ConnInflight int
 }
 
@@ -104,7 +100,7 @@ func (b *bucket) take(rate float64, burst int, now time.Time) bool {
 	return true
 }
 
-// admEntry is one admission scope — a tenant or a v2 connection.
+// admEntry is one admission scope — a tenant or a connection.
 type admEntry struct {
 	mu       sync.Mutex
 	bkt      bucket
@@ -152,7 +148,7 @@ func (s *Server) tenantEntry(tenant string) *admEntry {
 }
 
 // admit runs both admission layers for one request attributed to tenant;
-// connAdm is the connection's scope (nil for v1 one-shot connections).
+// connAdm is the connection's scope.
 // On success it returns a release closure the caller must run when the
 // request finishes; on shed it returns ok=false with Stats.Shed already
 // incremented.

@@ -23,40 +23,34 @@ func admSpec(name, tenant string) scheduler.JobSpec {
 }
 
 // TestTenantSurvivesBothWireProtocols pins the tenant threading end to
-// end: jobs submitted over v1 and v2 with a client-level tenant identity
-// reach the scheduler tagged, and Status reports both the per-job Tenant
-// and the per-tenant usage rollup.
+// end: jobs submitted by two clients with different client-level tenant
+// identities reach the scheduler tagged, and Status reports both the
+// per-job Tenant and the per-tenant usage rollup. (Both clients speak
+// rpc/v2; the name is kept from when they spoke different protocols.)
 func TestTenantSurvivesBothWireProtocols(t *testing.T) {
-	sched := scheduler.NewServer(16, false, nil)
-	srv, err := rpc.Serve("127.0.0.1:0", sched)
+	srv, acme := serveAndDial(t, scheduler.NewServer(16, false, nil), reshape.WithTenant("acme"))
+	beta, err := reshape.Dial(srv.Addr(), reshape.WithTenant("beta"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-
-	v2, err := reshape.Dial(srv.Addr(), reshape.WithTenant("beta"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
-	v1 := &rpc.Client{Addr: srv.Addr(), Tenant: "acme"}
+	defer beta.Close()
 
 	ctx := context.Background()
 	// Spec-level tenant wins; the client identity fills in when unset.
-	aID, err := v1.Submit(ctx, admSpec("a", ""))
+	aID, err := acme.Submit(ctx, admSpec("a", ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bID, err := v2.Submit(ctx, admSpec("b", ""))
+	bID, err := beta.Submit(ctx, admSpec("b", ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cID, err := v2.Submit(ctx, admSpec("c", "gamma"))
+	cID, err := beta.Submit(ctx, admSpec("c", "gamma"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	st, err := v1.Status(ctx)
+	st, err := acme.Status(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,26 +108,25 @@ func TestAdmissionShedsOverQuotaTenant(t *testing.T) {
 	}
 
 	// The noisy tenant's exhaustion must not touch another tenant.
-	calm := &rpc.Client{Addr: srv.Addr(), Tenant: "calm"}
+	calm, err := reshape.Dial(srv.Addr(), reshape.WithTenant("calm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer calm.Close()
 	if _, err := calm.Status(ctx); err != nil {
 		t.Fatalf("calm tenant shed alongside the noisy one: %v", err)
-	}
-	// And the v1 path sheds with the same typed error once its bucket runs
-	// dry.
-	var v1shed bool
-	for i := 0; i < 4; i++ {
-		if _, err := calm.Status(ctx); errors.Is(err, rpc.ErrOverload) {
-			v1shed = true
-		}
-	}
-	if !v1shed {
-		t.Fatal("v1 client never saw ErrOverload after exhausting its bucket")
 	}
 }
 
 // TestAdmissionInflightCap: a blocking Wait holds the tenant's single
 // inflight slot, shedding its further requests while other tenants are
 // untouched; the slot frees when the wait resolves.
+//
+// The server frees a request's slot just after writing its reply, so a
+// tenant's next request can briefly find the slot still taken. The test
+// therefore makes the Wait the busy tenant's first request (the job is
+// submitted in process) and sends the shed probe only once the server has
+// admitted the Wait.
 func TestAdmissionInflightCap(t *testing.T) {
 	sched := scheduler.NewServer(4, false, nil)
 	srv, err := rpc.Serve("127.0.0.1:0", sched,
@@ -143,44 +136,42 @@ func TestAdmissionInflightCap(t *testing.T) {
 	}
 	defer srv.Close()
 
+	ctx := context.Background()
+	id, err := sched.Submit(ctx, admSpec("hog", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
 	busy, err := reshape.Dial(srv.Addr(), reshape.WithTenant("busy"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer busy.Close()
-
-	ctx := context.Background()
-	id, err := busy.Submit(ctx, admSpec("hog", ""))
-	if err != nil {
-		t.Fatal(err)
-	}
 	waitErr := make(chan error, 1)
 	go func() { waitErr <- busy.Wait(ctx, id) }()
 
-	// Once the wait occupies the slot, the tenant's next request sheds.
+	// Stats.Requests counts the Wait once it is admitted; from then until
+	// the job ends it holds the tenant's only slot.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, err := busy.Status(ctx)
-		if errors.Is(err, rpc.ErrOverload) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	for srv.Stats().Requests == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("tenant never hit its inflight cap while a wait was parked")
+			t.Fatal("wait never admitted")
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
-	other := &rpc.Client{Addr: srv.Addr(), Tenant: "other"}
+	if _, err := busy.Status(ctx); !errors.Is(err, rpc.ErrOverload) {
+		t.Fatalf("busy tenant's Status beside its parked Wait = %v, want ErrOverload", err)
+	}
+	other, err := reshape.Dial(srv.Addr(), reshape.WithTenant("other"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
 	if _, err := other.Status(ctx); err != nil {
 		t.Fatalf("other tenant shed by busy tenant's inflight cap: %v", err)
 	}
 
-	// The busy tenant cannot end its own job — the parked wait holds its
-	// only slot — so finish it from the other tenant, which resolves the
-	// wait and frees the slot.
-	if err := other.JobEnd(ctx, id); err != nil {
+	// Ending the job resolves the wait and frees the slot.
+	if err := sched.JobEnd(ctx, id); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-waitErr; err != nil {
@@ -197,7 +188,7 @@ func TestAdmissionInflightCap(t *testing.T) {
 	}
 }
 
-// TestAdmissionConnQuota: the per-connection bucket clips a flooding v2
+// TestAdmissionConnQuota: the per-connection bucket clips a flooding
 // connection regardless of the tenants its frames claim.
 func TestAdmissionConnQuota(t *testing.T) {
 	sched := scheduler.NewServer(4, false, nil)

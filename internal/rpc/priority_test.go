@@ -6,33 +6,24 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/reshape"
-	"repro/internal/resize"
-	"repro/internal/rpc"
 	"repro/internal/scheduler"
 )
 
 // TestPrioritySurvivesBothWireProtocols pins the Priority threading of the
-// arbitration layer end to end: a JobSpec submitted over the v1 one-shot
-// protocol and the v2 multiplexed protocol must reach the scheduler with
-// its priority intact, order the wait queue by it, and report it back
-// through the typed Status snapshot.
+// arbitration layer end to end: JobSpecs submitted by two independent
+// clients over the wire must reach the scheduler with their priority
+// intact, order the wait queue by it, and report it back through each
+// client's typed Status snapshot. (Both clients speak rpc/v2; the name is
+// kept from when they spoke different protocols.)
 func TestPrioritySurvivesBothWireProtocols(t *testing.T) {
 	sched := scheduler.NewServer(4, false, nil)
-	srv, err := rpc.Serve("127.0.0.1:0", sched)
+	srv, first := serveAndDial(t, sched)
+	second, err := reshape.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-
-	v2, err := reshape.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
-	clients := map[string]resize.Scheduler{
-		"v1": &rpc.Client{Addr: srv.Addr()},
-		"v2": v2,
-	}
+	defer second.Close()
+	clients := map[string]*reshape.Client{"first": first, "second": second}
 
 	ctx := context.Background()
 	start := grid.Topology{Rows: 2, Cols: 2}
@@ -45,14 +36,14 @@ func TestPrioritySurvivesBothWireProtocols(t *testing.T) {
 	}
 
 	// The hog fills the pool so later submissions queue in priority order.
-	if _, err := clients["v1"].Submit(ctx, spec("hog", 0)); err != nil {
+	if _, err := first.Submit(ctx, spec("hog", 0)); err != nil {
 		t.Fatal(err)
 	}
-	lowID, err := clients["v1"].Submit(ctx, spec("low-v1", 1))
+	lowID, err := first.Submit(ctx, spec("low-first", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	highID, err := clients["v2"].Submit(ctx, spec("high-v2", 7))
+	highID, err := second.Submit(ctx, spec("high-second", 7))
 	if err != nil {
 		t.Fatal(err)
 	}

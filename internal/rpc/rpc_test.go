@@ -1,4 +1,4 @@
-package rpc
+package rpc_test
 
 import (
 	"context"
@@ -7,20 +7,33 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/grid"
+	"repro/internal/reshape"
+	"repro/internal/rpc"
 	"repro/internal/scheduler"
 )
 
 func topo(r, c int) grid.Topology { return grid.Topology{Rows: r, Cols: c} }
 
-func TestRoundTripOverTCP(t *testing.T) {
-	ctx := context.Background()
-	sched := scheduler.NewServer(8, true, nil)
-	srv, err := Serve("127.0.0.1:0", sched)
+// serveAndDial starts a daemon around sched and dials it with the typed
+// client; both are torn down when the test ends.
+func serveAndDial(t *testing.T, sched *scheduler.Server, opts ...reshape.Option) (*rpc.Server, *reshape.Client) {
+	t.Helper()
+	srv, err := rpc.Serve("127.0.0.1:0", sched)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	cl := &Client{Addr: srv.Addr()}
+	t.Cleanup(func() { srv.Close() })
+	cl, err := reshape.Dial(srv.Addr(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return srv, cl
+}
+
+func TestRoundTripOverTCP(t *testing.T) {
+	ctx := context.Background()
+	srv, cl := serveAndDial(t, scheduler.NewServer(8, true, nil))
 
 	id, err := cl.Submit(ctx, scheduler.JobSpec{
 		Name: "lu", App: "lu", ProblemSize: 12000, Iterations: 10,
@@ -63,20 +76,14 @@ func TestRoundTripOverTCP(t *testing.T) {
 	if st.Free != 8 {
 		t.Fatalf("free = %d after end", st.Free)
 	}
-	if s := srv.Stats(); s.V1Conns == 0 || s.Requests == 0 {
-		t.Fatalf("stats not counting v1 traffic: %+v", s)
+	if s := srv.Stats(); s.V2Conns != 1 || s.Requests != 6 {
+		t.Fatalf("stats not counting traffic: %+v", s)
 	}
 }
 
 func TestServerReportsErrors(t *testing.T) {
 	ctx := context.Background()
-	sched := scheduler.NewServer(4, false, nil)
-	srv, err := Serve("127.0.0.1:0", sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cl := &Client{Addr: srv.Addr()}
+	_, cl := serveAndDial(t, scheduler.NewServer(4, false, nil))
 
 	if _, err := cl.Contact(ctx, 99, topo(1, 1), 1, 0); err == nil {
 		t.Error("contact for unknown job should fail")
@@ -86,21 +93,18 @@ func TestServerReportsErrors(t *testing.T) {
 	}
 }
 
+// TestClientDialFailure: dialing a port nobody listens on fails at Dial,
+// not at the first call.
 func TestClientDialFailure(t *testing.T) {
-	cl := &Client{Addr: "127.0.0.1:1", DialTimeout: 200 * time.Millisecond}
-	if _, err := cl.Status(context.Background()); err == nil {
-		t.Error("expected dial error")
+	cl, err := reshape.Dial("127.0.0.1:1", reshape.WithDialTimeout(200*time.Millisecond))
+	if err == nil {
+		cl.Close()
+		t.Fatal("expected dial error")
 	}
 }
 
 func TestClientHonoursContextDeadline(t *testing.T) {
-	sched := scheduler.NewServer(4, false, nil)
-	srv, err := Serve("127.0.0.1:0", sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cl := &Client{Addr: srv.Addr()}
+	_, cl := serveAndDial(t, scheduler.NewServer(4, false, nil))
 	id, err := cl.Submit(context.Background(), scheduler.JobSpec{
 		Name: "j", App: "mw", Iterations: 1,
 		InitialTopo: grid.Row1D(2), Chain: []grid.Topology{grid.Row1D(2)},
@@ -121,13 +125,7 @@ func TestClientHonoursContextDeadline(t *testing.T) {
 
 func TestWaitBlocksUntilJobEnd(t *testing.T) {
 	ctx := context.Background()
-	sched := scheduler.NewServer(4, false, nil)
-	srv, err := Serve("127.0.0.1:0", sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cl := &Client{Addr: srv.Addr()}
+	_, cl := serveAndDial(t, scheduler.NewServer(4, false, nil))
 	id, err := cl.Submit(ctx, scheduler.JobSpec{
 		Name: "j", App: "mw", Iterations: 1,
 		InitialTopo: grid.Row1D(2), Chain: []grid.Topology{grid.Row1D(2)},
@@ -159,23 +157,15 @@ func TestWaitBlocksUntilJobEnd(t *testing.T) {
 func TestRemoteSchedulerDrivesRealApp(t *testing.T) {
 	// End-to-end over TCP: a real application resized by a remote daemon.
 	ctx := context.Background()
-	var launched = make(chan int, 4)
-	var sched *scheduler.Server
-	var cl *Client
-	sched = scheduler.NewServer(4, true, func(j *scheduler.Job) {
-		launched <- j.ID
+	var cl *reshape.Client
+	sched := scheduler.NewServer(4, true, func(j *scheduler.Job) {
 		cfg := apps.Config{App: "lu", N: 8, NB: 2, Iterations: 3}
 		if err := apps.Launch(cl, j.ID, j.Topo, cfg); err != nil {
 			t.Errorf("launch: %v", err)
 			_ = cl.JobEnd(ctx, j.ID)
 		}
 	})
-	srv, err := Serve("127.0.0.1:0", sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cl = &Client{Addr: srv.Addr()}
+	_, cl = serveAndDial(t, sched)
 
 	id, err := cl.Submit(ctx, scheduler.JobSpec{
 		Name: "lu", App: "lu", ProblemSize: 8, Iterations: 3,
@@ -197,44 +187,5 @@ func TestRemoteSchedulerDrivesRealApp(t *testing.T) {
 	}
 	if st.Jobs[0].State != "done" {
 		t.Errorf("state %v", st.Jobs[0].State)
-	}
-}
-
-func TestV1WatchSynthesizesEventsFromPolling(t *testing.T) {
-	ctx := context.Background()
-	sched := scheduler.NewServer(8, true, nil)
-	srv, err := Serve("127.0.0.1:0", sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cl := &Client{Addr: srv.Addr(), PollInterval: 10 * time.Millisecond}
-
-	sub, err := cl.Watch(ctx, scheduler.AllJobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Cancel()
-
-	id, err := cl.Submit(ctx, scheduler.JobSpec{
-		Name: "j", App: "mw", Iterations: 1,
-		InitialTopo: grid.Row1D(2), Chain: []grid.Topology{grid.Row1D(2)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.JobEnd(ctx, id); err != nil {
-		t.Fatal(err)
-	}
-
-	kinds := map[string]bool{}
-	deadline := time.After(5 * time.Second)
-	for !(kinds["submit"] && kinds["start"] && kinds["end"]) {
-		select {
-		case ev := <-sub.C:
-			kinds[ev.Kind] = true
-		case <-deadline:
-			t.Fatalf("missing kinds, saw %v", kinds)
-		}
 	}
 }

@@ -2,9 +2,13 @@ package rpc
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
+	"io"
 	"net"
+	"syscall"
 	"testing"
 	"time"
 
@@ -67,8 +71,8 @@ func TestV2PipelinesConcurrentRequestsOnOneConnection(t *testing.T) {
 }
 
 func TestV2WaitDoesNotPinConnection(t *testing.T) {
-	// A pending Wait and a burst of other ops share one connection: the
-	// defining difference from v1, where Wait parks the whole socket.
+	// A pending Wait and other ops share one connection: the wait must not
+	// park the whole socket.
 	sched := scheduler.NewServer(4, false, nil)
 	srv, err := Serve("127.0.0.1:0", sched)
 	if err != nil {
@@ -153,7 +157,11 @@ func TestV2CancelAbortsPendingWait(t *testing.T) {
 	}
 }
 
-func TestMalformedV1RequestGetsStructuredError(t *testing.T) {
+// TestNonMagicOpeningByteIsRefused: a connection that does not open with
+// MagicV2 — here a gob-encoded request, as a one-shot gob client would
+// send, and a lone junk byte — is closed without a reply and counted in
+// Stats.Malformed, and the server keeps serving v2 connections.
+func TestNonMagicOpeningByteIsRefused(t *testing.T) {
 	sched := scheduler.NewServer(4, false, nil)
 	srv, err := Serve("127.0.0.1:0", sched)
 	if err != nil {
@@ -161,24 +169,43 @@ func TestMalformedV1RequestGetsStructuredError(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
+	var gobReq bytes.Buffer
+	if err := gob.NewEncoder(&gobReq).Encode(Frame{Op: OpStatus}); err != nil {
 		t.Fatal(err)
 	}
+	for i, opening := range [][]byte{gobReq.Bytes(), {0x00}} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(opening); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := conn.Read(make([]byte, 1))
+		conn.Close()
+		if n != 0 || (!errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET)) {
+			t.Fatalf("opening %d: read (%d, %v), want the server to hang up", i, n, err)
+		}
+		if got := srv.Stats().Malformed; got != uint64(i+1) {
+			t.Fatalf("opening %d: Malformed = %d, want %d", i, got, i+1)
+		}
+	}
+
+	conn, fw, fr := dialV2(t, srv.Addr())
 	defer conn.Close()
-	// A gob stream for the wrong type: decodes into Request with an error.
-	if err := gob.NewEncoder(conn).Encode(struct{ Bogus string }{"x"}); err != nil {
+	if err := fw.Write(Frame{ID: 1, Op: OpStatus}); err != nil {
 		t.Fatal(err)
 	}
-	var resp Response
-	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
-		t.Fatalf("expected structured error response, got %v", err)
+	var r Reply
+	if err := fr.Read(&r); err != nil {
+		t.Fatal(err)
 	}
-	if resp.Err == "" || resp.Code != CodeBadRequest {
-		t.Fatalf("response %+v", resp)
+	if r.ID != 1 || r.Status == nil {
+		t.Fatalf("status after refused openings %+v", r)
 	}
-	if st := srv.Stats(); st.Malformed == 0 {
-		t.Fatalf("malformed requests not counted: %+v", st)
+	if st := srv.Stats(); st.V2Conns != 1 || st.Malformed != 2 {
+		t.Fatalf("stats %+v", st)
 	}
 }
 

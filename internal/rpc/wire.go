@@ -11,11 +11,10 @@ import (
 
 // Wire protocol v2.
 //
-// A v2 connection opens with the single magic byte MagicV2 — a value a v1
-// gob stream can never start with (gob's leading message length is either
-// 0x01..0x7F or 0xF8..0xFF), which is how the server sniffs the protocol
-// version on the first byte. After the magic byte each direction is one
-// persistent stream of length-prefixed frames:
+// A connection opens with the single magic byte MagicV2; the server closes
+// (and counts as malformed) any connection that opens with another byte.
+// After the magic byte each direction is one persistent stream of
+// length-prefixed frames:
 //
 //	[uvarint payload length][gob payload]
 //
@@ -31,7 +30,7 @@ import (
 // reply when the subscription ends.
 const MagicV2 = 0xB2
 
-// Additional v2 operations.
+// Stream operations.
 const (
 	// OpWatch subscribes to job-state transitions (JobID, or
 	// scheduler.AllJobs) and streams them until cancelled.
@@ -41,7 +40,7 @@ const (
 	OpCancel Op = "cancel"
 )
 
-// Reply error codes (Response.Code / Reply.Code).
+// Reply error codes (Reply.Code).
 const (
 	// CodeBadRequest marks malformed or unparseable requests.
 	CodeBadRequest = "bad-request"
